@@ -14,11 +14,13 @@
 * :mod:`repro.core.estimator` — end-to-end time/GFLOPS prediction;
 * :mod:`repro.core.resilient` — retries, checksummed transfers and
   checkpoint/restart over the fault-injecting simulator;
-* :mod:`repro.core.api` — the high-level :class:`GpuFFT3D` entry point;
+* :mod:`repro.core.api` — the high-level :class:`GpuFFT3D` entry point
+  (a batch of one on the in-core engine, or the out-of-core route);
 * :mod:`repro.core.plan_cache` — process-wide plan/twiddle cache keyed by
   ``(shape, precision, device)``;
-* :mod:`repro.core.batch` — :class:`BatchedGpuFFT3D`, stream-pipelined
-  execution of N same-shape transforms through one resilient plan;
+* :mod:`repro.core.batch` — :class:`BatchedGpuFFT3D`, the one in-core
+  engine: stream-pipelined execution of N same-shape transforms through
+  one resilient plan;
 * :mod:`repro.core.workspace` — :class:`Workspace`, the per-plan arena
   of shape/dtype-keyed host buffers behind the zero-allocation
   steady-state execution path.

@@ -5,15 +5,22 @@ in :mod:`repro.apps.docking`) uses: plan once, transform many times, and —
 when given a :class:`~repro.gpu.simulator.DeviceSimulator` — have every
 launch and transfer accounted on the simulated timeline.
 
+It is a thin facade.  A grid that fits on the card runs as a batch of one
+on a :class:`~repro.core.batch.BatchedGpuFFT3D` — the one in-core engine,
+the same five-kernel transform whether one cube or many are in flight.
+A grid that does not fit takes the out-of-core route (Section 3.3),
+staged slab by slab with per-slab checkpoints
+(:func:`~repro.core.resilient.run_out_of_core`).
+
 The plan is *resilient* by construction: transfers are checksummed and
 retried, rejected launches are retried with backoff, a lost device is
-reset and the transform resumed (from the last completed slab checkpoint
-on the out-of-core path), and when the device keeps failing the plan
-degrades to the host reference transform
-(:class:`repro.fft.plan.PlanND`) and records the downgrade.  All of this
-is driven by an optional :class:`~repro.gpu.faults.FaultInjector`; with
-no injector attached the resilient machinery adds zero simulated time.
-The cost of robustness is surfaced via :meth:`GpuFFT3D.resilience_report`.
+reset and the transform resumed, and when the device keeps failing the
+plan degrades to the host reference transform
+(:func:`~repro.core.resilient.host_transform`) and records the downgrade.
+All of this is driven by an optional
+:class:`~repro.gpu.faults.FaultInjector`; with no injector attached the
+resilient machinery adds zero simulated time.  The cost of robustness is
+surfaced via :meth:`GpuFFT3D.resilience_report`.
 """
 
 from __future__ import annotations
@@ -23,29 +30,19 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.core.batch import BatchedGpuFFT3D, bind_device
 from repro.core.estimator import FFT3DEstimate, estimate_fft3d
 from repro.core.out_of_core import OutOfCoreEstimate, OutOfCorePlan
-from repro.core.plan_cache import PLAN_CACHE
-from repro.core.workspace import Workspace
 from repro.core.resilient import (
     ResilienceReport,
-    ResilientExecutor,
     RetryPolicy,
-    energy_preserved,
+    host_transform,
     run_out_of_core,
 )
 from repro.fft.normalization import apply_norm
-from repro.fft.plan import PlanND
-from repro.gpu.faults import (
-    AllocationError,
-    CorruptionError,
-    DeviceLostError,
-    FaultError,
-    FaultInjector,
-)
-from repro.gpu.simulator import DeviceArray, DeviceSimulator
+from repro.gpu.faults import DeviceLostError, FaultError, FaultInjector
+from repro.gpu.simulator import DeviceSimulator
 from repro.gpu.specs import DeviceSpec, GEFORCE_8800_GTX
-from repro.util.units import flops_3d_fft
 from repro.util.validation import as_complex_array
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
@@ -56,6 +53,19 @@ __all__ = ["GpuFFT3D", "gpu_fft3d", "gpu_ifft3d"]
 #: Monotonic plan ids so device buffer names never collide when several
 #: plans share one simulator.
 _PLAN_IDS = count()
+
+#: State an in-core facade shares with its batch-of-one engine.
+_ENGINE_STATE = (
+    "simulator",
+    "_injector",
+    "retry_policy",
+    "resilience",
+    "_executor",
+    "_verify",
+    "profiler",
+    "workspace",
+    "_plan",
+)
 
 
 class GpuFFT3D:
@@ -119,9 +129,12 @@ class GpuFFT3D:
         bit-identical (cjit on FMA hardware) or within a documented
         ulp bound (DESIGN.md §18).
 
-    Transforms larger than device memory transparently take the
-    out-of-core path (Section 3.3), staged slab by slab through the
-    simulator with per-slab checkpoints.
+    A grid that fits on the card runs as a batch of one on a one-slot
+    :class:`~repro.core.batch.BatchedGpuFFT3D`, whose simulator,
+    resilience report and workspace this plan exposes.  Transforms
+    larger than device memory transparently take the out-of-core path
+    (Section 3.3), staged slab by slab through the simulator with
+    per-slab checkpoints.
     """
 
     def __init__(
@@ -146,47 +159,33 @@ class GpuFFT3D:
         self.device = device
         self.norm = norm
         self.precision = precision
-        self._injector = None
-        if simulator is None:
-            # A plan-owned simulator can carry the injector directly.
-            simulator = DeviceSimulator(device, fault_injector=fault_injector)
-        elif fault_injector is not None:
-            if simulator.faults is not None and simulator.faults is not fault_injector:
-                raise ValueError(
-                    "simulator already has a different fault injector; "
-                    "plans sharing a simulator must share one injector"
-                )
-            if simulator.faults is None:
-                # Shared simulator: never mutate it — scope the injector
-                # to this plan's transforms so sibling plans stay clean.
-                self._injector = fault_injector
-        self.simulator = simulator
         self._ooc = OutOfCorePlan(shape, device, precision=precision)
         self.shape = self._ooc.shape
-        self._plan = PLAN_CACHE.five_step(
-            self.shape, precision, device, backend=backend
-        )
-        self._dev_v: DeviceArray | None = None
-        self._dev_w: DeviceArray | None = None
         self._buf = name or f"fft3d{next(_PLAN_IDS)}"
-        self.profiler = profiler
-        if profiler is not None:
-            profiler.attach(self.simulator)
-        self.retry_policy = retry_policy or RetryPolicy()
-        self.resilience = ResilienceReport()
-        self._executor = ResilientExecutor(
-            self.simulator, self.retry_policy, self.resilience
-        )
-        self._verify = (
-            (fault_injector is not None or self.simulator.faults is not None)
-            if verify is None
-            else verify
-        )
-        self.workspace: Workspace | None = None
-        if pooling:
-            self.workspace = Workspace(
+        self._engine: BatchedGpuFFT3D | None = None
+        if self._ooc.fits_in_core:
+            self._engine = BatchedGpuFFT3D(
+                self.shape,
+                device=device,
+                simulator=simulator,
+                precision=precision,
+                norm=norm,
+                fault_injector=fault_injector,
+                retry_policy=retry_policy,
+                verify=verify,
+                n_streams=1,
+                profiler=profiler,
                 name=self._buf,
-                metrics=profiler.metrics if profiler is not None else None,
+                pooling=pooling,
+                raise_on_device_loss=raise_on_device_loss,
+                backend=backend,
+            )
+            for attr in _ENGINE_STATE:
+                setattr(self, attr, getattr(self._engine, attr))
+        else:
+            self._plan = None
+            bind_device(
+                self, simulator, fault_injector, retry_policy, verify, profiler, pooling
             )
         self._ooc_estimate: OutOfCoreEstimate | None = None
 
@@ -207,137 +206,29 @@ class GpuFFT3D:
 
     # ------------------------------------------------------------------
 
-    def _allocate_retrying(self, shape, dtype, name: str) -> DeviceArray:
-        last = self.retry_policy.max_attempts - 1
-        for attempt in range(self.retry_policy.max_attempts):
+    def _run_out_of_core(
+        self, x: np.ndarray, inverse: bool, force_host: bool
+    ) -> np.ndarray:
+        reason = "forced"
+        if not force_host:
             try:
-                return self.simulator.allocate(shape, dtype, name)
-            except AllocationError:
-                if attempt == last:
-                    raise
-                self._executor.backoff(attempt, "alloc")
-        raise AssertionError("unreachable")
-
-    def _ensure_device_buffers(self) -> None:
-        if self._dev_v is not None and self.simulator.is_allocated(self._dev_v):
-            return
-        dtype = np.complex64 if self.precision == "single" else np.complex128
-        self._dev_v = self._allocate_retrying(self.shape, dtype, f"{self._buf}-V")
-        self._dev_w = self._allocate_retrying(self.shape, dtype, f"{self._buf}-WORK")
-
-    def _attempt_in_core(self, x: np.ndarray, inverse: bool) -> np.ndarray:
-        wall = self._plan.ensure_compiled()
-        if wall:
-            # First transform on a JIT plan pays the kernel warm-up; make
-            # it a visible host span instead of unexplained latency.
-            self.simulator.charge(f"{self._buf}-jit.compile", wall, "host")
-        self._ensure_device_buffers()
-        assert self._dev_v is not None
-        ex = self._executor
-        ex.h2d(x, self._dev_v, f"{self._buf}-h2d")
-        specs = PLAN_CACHE.step_specs(
-            self.shape, self.precision, self.device, backend=self._plan.backend
-        )
-        result: dict[str, np.ndarray] = {}
-        ws = self.workspace
-
-        def body() -> None:
-            if ws is None:
-                result["out"] = self._plan.execute(self._dev_v.data, inverse=inverse)
-            else:
-                buf = ws.acquire(self.shape, self._dev_v.data.dtype)
-                result["out"] = self._plan.execute(
-                    self._dev_v.data, inverse=inverse, workspace=ws, out=buf
+                out = run_out_of_core(
+                    self._ooc,
+                    self.out_of_core_estimate(),
+                    np.conj(x) if inverse else x,
+                    self._executor,
+                    verify=self._verify,
+                    name=f"{self._buf}-ooc",
+                    workspace=self.workspace,
                 )
-
-        try:
-            # Launch the five kernels; the functional work happens on the
-            # last launch (one pass through the plan), the timing on each.
-            for spec in specs[:-1]:
-                ex.launch(spec)
-            ex.launch(specs[-1], body)
-            if self._verify:
-                e_in = float(np.vdot(x, x).real)
-                e_out = float(np.vdot(result["out"], result["out"]).real)
-                if not energy_preserved(e_in, e_out, float(self.total_elements)):
-                    raise CorruptionError(
-                        "in-core transform violated the energy invariant "
-                        "(likely an ECC upset of a device buffer)"
-                    )
-            np.copyto(self._dev_v.data, result["out"])
-        finally:
-            if ws is not None:
-                ws.release(result.get("out"))
-        out = np.empty_like(x)
-        ex.d2h(self._dev_v, out, f"{self._buf}-d2h")
-        return out
-
-    def _host_fallback(self, x: np.ndarray, inverse: bool, reason: str) -> np.ndarray:
-        """Graceful degradation: host reference transform, charged as host time."""
-        self.resilience.downgrades.append(f"host-fallback: {reason}")
-        if self.simulator.device_lost:
-            self.simulator.reset_device()
-            self.resilience.device_resets += 1
-        # The device buffers are dead weight from here on: free them (a
-        # reset already discarded them) instead of leaking the capacity.
-        self.release()
-        from repro.baselines.fftw_cpu import FftwCpuBaseline
-
-        rate = FftwCpuBaseline(precision=self.precision).sustained_gflops(self.shape)
-        nz, ny, nx = self.shape
-        self.simulator.charge(
-            f"{self._buf}-host-fallback",
-            flops_3d_fft(nx, ny, nz) / (rate * 1e9),
-            "host",
-        )
-        plan = PlanND(self.shape, precision=self.precision)
-        if inverse:
-            return np.conj(plan.execute(np.conj(x)))
-        return plan.execute(x)
-
-    def _run_in_core(self, x: np.ndarray, inverse: bool) -> np.ndarray:
-        resets = 0
-        corruption_retries = 0
-        while True:
-            try:
-                return self._attempt_in_core(x, inverse)
-            except DeviceLostError:
-                self._dev_v = self._dev_w = None  # allocations died with card
-                if self.raise_on_device_loss:
-                    raise
-                resets += 1
-                self.resilience.device_resets += 1
-                if resets > self.retry_policy.max_device_resets:
-                    return self._host_fallback(x, inverse, "device lost")
-                self.simulator.reset_device()
-            except CorruptionError:
-                corruption_retries += 1
-                if corruption_retries >= self.retry_policy.max_attempts:
-                    return self._host_fallback(x, inverse, "persistent corruption")
-                self._executor.backoff(corruption_retries - 1, "ecc")
+                return np.conj(out) if inverse else out
             except FaultError as exc:
-                # Transfer/launch/allocation retries already exhausted in
-                # the executor: repeated device failure, so degrade.
-                return self._host_fallback(x, inverse, type(exc).__name__)
-
-    def _run_out_of_core(self, x: np.ndarray, inverse: bool) -> np.ndarray:
-        est = self.out_of_core_estimate()
-        y = np.conj(x) if inverse else x
-        try:
-            out = run_out_of_core(
-                self._ooc,
-                est,
-                y,
-                self._executor,
-                verify=self._verify,
-                name=f"{self._buf}-ooc",
-                workspace=self.workspace,
-            )
-        except FaultError as exc:
-            if self.raise_on_device_loss and isinstance(exc, DeviceLostError):
-                raise
-            return self._host_fallback(x, inverse, type(exc).__name__)
-        return np.conj(out) if inverse else out
+                if self.raise_on_device_loss and isinstance(exc, DeviceLostError):
+                    raise
+                reason = type(exc).__name__
+        return host_transform(
+            self._executor, x, inverse, reason, f"{self._buf}-host-fallback"
+        )
 
     def _run(
         self, x: np.ndarray, inverse: bool, force_host: bool = False
@@ -345,14 +236,11 @@ class GpuFFT3D:
         x = as_complex_array(x, self.precision)
         if x.shape != self.shape:
             raise ValueError(f"plan is for shape {self.shape}, got {x.shape}")
+        if self._engine is not None:
+            return self._engine._run((x,), inverse, force_host)[0]
         with self.simulator.annotate(plan=self._buf):
             with self.simulator.fault_scope(self._injector):
-                if force_host:
-                    out = self._host_fallback(x, inverse, "forced")
-                elif self.out_of_core:
-                    out = self._run_out_of_core(x, inverse)
-                else:
-                    out = self._run_in_core(x, inverse)
+                out = self._run_out_of_core(x, inverse, force_host)
         return apply_norm(out, self.total_elements, self.norm, inverse)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -393,11 +281,12 @@ class GpuFFT3D:
         return self.resilience.capture_timeline(self.simulator)
 
     def release(self) -> None:
-        """Free the device buffers (a no-op for buffers lost to a reset)."""
-        for arr in (self._dev_v, self._dev_w):
-            if arr is not None and self.simulator.is_allocated(arr):
-                self.simulator.free(arr)
-        self._dev_v = self._dev_w = None
+        """Free the device buffers (a no-op for buffers lost to a reset).
+
+        Out-of-core runs hold no buffers between transforms.
+        """
+        if self._engine is not None:
+            self._engine.close()
 
     def close(self) -> None:
         """Tear the plan down: device buffers are freed, capacity returned.

@@ -1,11 +1,11 @@
 """Batched, stream-pipelined execution of same-shape 3-D transforms.
 
-One :class:`~repro.core.api.GpuFFT3D` transform serializes three phases
-on the simulated clock: upload, five kernels, download.  A workload that
-runs *many* same-shape transforms (a docking search scores one ligand
-grid per rotation; a multi-GPU rank drains a queue of slabs) can overlap
-them instead — the paper's Section 4.4 observation ("the latest devices
-support asynchronous transfers") applied batch-wide:
+One transform serializes three phases on the simulated clock: upload,
+five kernels, download.  A workload that runs *many* same-shape
+transforms (a docking search scores one ligand grid per rotation; a
+multi-GPU rank drains a queue of slabs) can overlap them instead — the
+paper's Section 4.4 observation ("the latest devices support
+asynchronous transfers") applied batch-wide:
 
     H2D(i+1)  ||  kernels(i)  ||  D2H(i-1)
 
@@ -17,6 +17,10 @@ n_streams``, so the stream order enforces the buffer-reuse hazard (entry
 while the three engines overlap across streams.  With the default three
 slots the steady-state cost per cube is the *largest* of the three phase
 times instead of their sum.
+
+This is the only in-core engine: :class:`~repro.core.api.GpuFFT3D` runs
+each in-core transform here as a batch of one (a single slot, so the
+same schedule as a purely synchronous transform).
 
 The plan itself is shared: construction goes through the process-wide
 :data:`~repro.core.plan_cache.PLAN_CACHE`, so a thousand-rotation search
@@ -45,23 +49,19 @@ from repro.core.resilient import (
     ResilienceReport,
     ResilientExecutor,
     RetryPolicy,
-    checksum,
     energy_preserved,
+    host_transform,
 )
 from repro.fft.normalization import apply_norm
-from repro.fft.plan import PlanND
 from repro.gpu.faults import (
     AllocationError,
     CorruptionError,
     DeviceLostError,
     FaultError,
     FaultInjector,
-    KernelLaunchError,
-    TransferError,
 )
 from repro.gpu.simulator import DeviceArray, DeviceMemoryError, DeviceSimulator
 from repro.gpu.specs import DeviceSpec, GEFORCE_8800_GTX
-from repro.util.units import flops_3d_fft
 from repro.util.validation import as_complex_array
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
@@ -72,6 +72,54 @@ __all__ = ["BatchedGpuFFT3D", "gpu_fft3d_batch"]
 #: Monotonic ids so slot buffer names never collide across batch engines
 #: sharing one simulator.
 _BATCH_IDS = count()
+
+
+def bind_device(
+    plan,
+    simulator: DeviceSimulator | None,
+    fault_injector: FaultInjector | None,
+    retry_policy: RetryPolicy | None,
+    verify: bool | None,
+    profiler: Profiler | None,
+    pooling: bool,
+) -> None:
+    """Give ``plan`` its simulator, fault scope, retry machinery and arena.
+
+    Shared by every device plan constructor (``plan.device`` and
+    ``plan._buf`` must be set).  A plan-owned simulator carries the
+    injector directly; on a shared simulator it is scoped to the plan's
+    own transforms (``plan._injector``, entered through
+    :meth:`DeviceSimulator.fault_scope`) so sibling plans stay clean.
+    """
+    plan._injector = None
+    if simulator is None:
+        simulator = DeviceSimulator(plan.device, fault_injector=fault_injector)
+    elif fault_injector is not None:
+        if simulator.faults is not None and simulator.faults is not fault_injector:
+            raise ValueError(
+                "simulator already has a different fault injector; "
+                "plans sharing a simulator must share one injector"
+            )
+        if simulator.faults is None:
+            plan._injector = fault_injector
+    plan.simulator = simulator
+    plan.retry_policy = retry_policy or RetryPolicy()
+    plan.resilience = ResilienceReport()
+    plan._executor = ResilientExecutor(simulator, plan.retry_policy, plan.resilience)
+    plan._verify = (
+        (fault_injector is not None or simulator.faults is not None)
+        if verify is None
+        else verify
+    )
+    plan.profiler = profiler
+    if profiler is not None:
+        profiler.attach(simulator)
+    plan.workspace = None
+    if pooling:
+        plan.workspace = Workspace(
+            name=plan._buf,
+            metrics=profiler.metrics if profiler is not None else None,
+        )
 
 
 class _Slot:
@@ -153,43 +201,15 @@ class BatchedGpuFFT3D:
         self.norm = norm
         self.shape = ooc.shape
         self.n_streams = n_streams
-        self._injector = None
-        if simulator is None:
-            simulator = DeviceSimulator(device, fault_injector=fault_injector)
-        elif fault_injector is not None:
-            if simulator.faults is not None and simulator.faults is not fault_injector:
-                raise ValueError(
-                    "simulator already has a different fault injector; "
-                    "plans sharing a simulator must share one injector"
-                )
-            if simulator.faults is None:
-                self._injector = fault_injector
-        self.simulator = simulator
+        self._buf = name or f"batch{next(_BATCH_IDS)}"
+        self.raise_on_device_loss = raise_on_device_loss
         self._plan = PLAN_CACHE.five_step(
             self.shape, precision, device, backend=backend
         )
-        self.retry_policy = retry_policy or RetryPolicy()
-        self.resilience = ResilienceReport()
-        self._executor = ResilientExecutor(
-            self.simulator, self.retry_policy, self.resilience
+        bind_device(
+            self, simulator, fault_injector, retry_policy, verify, profiler, pooling
         )
-        self._verify = (
-            (fault_injector is not None or self.simulator.faults is not None)
-            if verify is None
-            else verify
-        )
-        self._buf = name or f"batch{next(_BATCH_IDS)}"
-        self.raise_on_device_loss = raise_on_device_loss
         self._slots: list[_Slot] = []
-        self.profiler = profiler
-        if profiler is not None:
-            profiler.attach(self.simulator)
-        self.workspace: Workspace | None = None
-        if pooling:
-            self.workspace = Workspace(
-                name=self._buf,
-                metrics=profiler.metrics if profiler is not None else None,
-            )
 
     # ------------------------------------------------------------------
     # Introspection
@@ -259,7 +279,14 @@ class BatchedGpuFFT3D:
         for j in range(target):
             try:
                 v = self._allocate_retrying(f"{self._buf}-s{j}-V")
-                w = self._allocate_retrying(f"{self._buf}-s{j}-WORK")
+                try:
+                    w = self._allocate_retrying(f"{self._buf}-s{j}-WORK")
+                except (FaultError, DeviceMemoryError):
+                    # Never orphan half a slot: the next attempt would
+                    # collide with the V buffer's name.
+                    if self.simulator.is_allocated(v):
+                        self.simulator.free(v)
+                    raise
             except DeviceMemoryError:
                 if j == 0:
                     raise
@@ -398,7 +425,11 @@ class BatchedGpuFFT3D:
         target: np.ndarray | None,
     ) -> np.ndarray:
         """Host-fallback entry, routed through ``target`` when pooled."""
-        out = self._host_entry(x, inverse, reason)
+        if self.simulator.device_lost:
+            self._slots.clear()  # the reset below discards the allocations
+        out = host_transform(
+            self._executor, x, inverse, reason, f"{self._buf}-host-fallback"
+        )
         if target is None:
             return out
         np.copyto(target, out)
@@ -413,103 +444,20 @@ class BatchedGpuFFT3D:
         target: np.ndarray | None = None,
     ) -> np.ndarray:
         label = f"{self._buf}-e{i}"
+        ex = self._executor
         corruption_retries = 0
         while True:
             try:
-                self._upload(x, slot, f"{label}-h2d")
+                ex.h2d(x, slot.v, f"{label}-h2d", stream=slot.stream)
                 self._compute(x, slot, inverse, label)
                 out = np.empty_like(x) if target is None else target
-                self._download(slot, out, f"{label}-d2h")
+                ex.d2h(slot.v, out, f"{label}-d2h", stream=slot.stream)
                 return out
             except CorruptionError:
                 corruption_retries += 1
                 if corruption_retries >= self.retry_policy.max_attempts:
                     raise
-                self._executor.backoff(corruption_retries - 1, "ecc")
-
-    @staticmethod
-    def _as_payload(a: np.ndarray, shape, dtype) -> np.ndarray:
-        """The array as the link sees it — no copy when it already matches.
-
-        ``reshape().astype()`` forced a full staging copy whenever the
-        input was a non-contiguous view even with a matching dtype; the
-        common case (matching shape and dtype) must be free.
-        """
-        if a.shape == tuple(shape) and a.dtype == dtype:
-            return a
-        return np.ascontiguousarray(a).reshape(shape).astype(dtype, copy=False)
-
-    def _upload(self, host: np.ndarray, slot: _Slot, label: str) -> None:
-        dev = slot.v
-        # Checksums only matter when something can corrupt the payload.
-        fallible = self.simulator.faults is not None
-        expected = (
-            checksum(self._as_payload(host, dev.shape, dev.dtype))
-            if fallible
-            else None
-        )
-        last = self.retry_policy.max_attempts - 1
-        for attempt in range(self.retry_policy.max_attempts):
-            self.resilience.attempts += 1
-            try:
-                self.simulator.async_h2d(host, dev, stream=slot.stream, label=label)
-            except TransferError:
-                if attempt == last:
-                    raise
-                self._executor.backoff(attempt, "transfer")
-                continue
-            if expected is None or checksum(dev.data) == expected:
-                return
-            self.resilience.checksum_failures += 1
-            if attempt == last:
-                raise CorruptionError(
-                    f"h2d {label!r}: checksum mismatch persisted through "
-                    f"{self.retry_policy.max_attempts} attempts"
-                )
-            self._executor.backoff(attempt, "corruption")
-        raise AssertionError("unreachable")
-
-    def _download(self, slot: _Slot, host: np.ndarray, label: str) -> None:
-        dev = slot.v
-        fallible = self.simulator.faults is not None
-        expected = (
-            checksum(self._as_payload(dev.data, host.shape, host.dtype))
-            if fallible
-            else None
-        )
-        last = self.retry_policy.max_attempts - 1
-        for attempt in range(self.retry_policy.max_attempts):
-            self.resilience.attempts += 1
-            try:
-                self.simulator.async_d2h(dev, host, stream=slot.stream, label=label)
-            except TransferError:
-                if attempt == last:
-                    raise
-                self._executor.backoff(attempt, "transfer")
-                continue
-            if expected is None or checksum(host) == expected:
-                return
-            self.resilience.checksum_failures += 1
-            if attempt == last:
-                raise CorruptionError(
-                    f"d2h {label!r}: checksum mismatch persisted through "
-                    f"{self.retry_policy.max_attempts} attempts"
-                )
-            self._executor.backoff(attempt, "corruption")
-        raise AssertionError("unreachable")
-
-    def _launch(self, spec, stream: int, body) -> None:
-        last = self.retry_policy.max_attempts - 1
-        for attempt in range(self.retry_policy.max_attempts):
-            self.resilience.attempts += 1
-            try:
-                self.simulator.async_launch(spec, stream, body)
-                return
-            except KernelLaunchError:
-                if attempt == last:
-                    raise
-                self._executor.backoff(attempt, "launch")
-        raise AssertionError("unreachable")
+                ex.backoff(corruption_retries - 1, "ecc")
 
     def _compute(
         self, x: np.ndarray, slot: _Slot, inverse: bool, label: str
@@ -537,8 +485,8 @@ class BatchedGpuFFT3D:
         # Five kernels on the slot's stream; the functional work rides the
         # last launch (one pass through the plan), the timing all five.
         for spec in specs[:-1]:
-            self._launch(spec, slot.stream, None)
-        self._launch(specs[-1], slot.stream, body)
+            self._executor.launch(spec, stream=slot.stream)
+        self._executor.launch(specs[-1], body, stream=slot.stream)
         out = result["out"]
         if self._verify:
             e_in = float(np.vdot(x, x).real)
@@ -550,27 +498,6 @@ class BatchedGpuFFT3D:
                 )
         if out is not slot.v.data:
             np.copyto(slot.v.data, out)
-
-    def _host_entry(self, x: np.ndarray, inverse: bool, reason: str) -> np.ndarray:
-        """Degrade one entry to the host transform, charged as host time."""
-        self.resilience.downgrades.append(f"host-fallback: {reason}")
-        if self.simulator.device_lost:
-            self.simulator.reset_device()
-            self.resilience.device_resets += 1
-            self._slots.clear()
-        from repro.baselines.fftw_cpu import FftwCpuBaseline
-
-        rate = FftwCpuBaseline(precision=self.precision).sustained_gflops(self.shape)
-        nz, ny, nx = self.shape
-        self.simulator.charge(
-            f"{self._buf}-host-fallback",
-            flops_3d_fft(nx, ny, nz) / (rate * 1e9),
-            "host",
-        )
-        plan = PlanND(self.shape, precision=self.precision)
-        if inverse:
-            return np.conj(plan.execute(np.conj(x)))
-        return plan.execute(x)
 
 
 def gpu_fft3d_batch(

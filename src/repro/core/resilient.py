@@ -1,6 +1,6 @@
 """Resilient execution: retries, checksums, checkpoints, degradation.
 
-The recovery side of the fault model in :mod:`repro.gpu.faults`.  Four
+The recovery side of the fault model in :mod:`repro.gpu.faults`.  Five
 mechanisms, all accounted on the same simulated clock as the useful work
 so the *cost* of robustness is a first-class observable:
 
@@ -15,6 +15,8 @@ so the *cost* of robustness is a first-class observable:
   slabs and stage-2 plane groups as natural checkpoints, so a mid-run
   device loss resumes from the last completed slab instead of re-paying
   the 2x-PCIe traffic from scratch;
+* graceful degradation — :func:`host_transform`, the one host fallback
+  every device path takes when the card keeps failing;
 * :class:`ResilienceReport` — attempts, retries by fault class,
   checkpoint restores and time lost to faults, surfaced by the plan that
   owns the transform.
@@ -29,11 +31,14 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
 from repro.core.five_step import FiveStepPlan
 from repro.core.out_of_core import OutOfCoreEstimate, OutOfCorePlan
+from repro.fft.plan import PlanND
 from repro.gpu.faults import (
     CorruptionError,
     DeviceLostError,
@@ -43,6 +48,7 @@ from repro.gpu.faults import (
 from repro.gpu.kernel import KernelSpec
 from repro.gpu.simulator import DeviceArray, DeviceSimulator
 from repro.gpu.timing import KernelTiming
+from repro.util.units import flops_3d_fft
 from repro.util.validation import as_complex_array
 
 __all__ = [
@@ -51,6 +57,7 @@ __all__ = [
     "ResilientExecutor",
     "checksum",
     "energy_preserved",
+    "host_transform",
     "run_out_of_core",
 ]
 
@@ -63,6 +70,18 @@ def checksum(a: np.ndarray) -> int:
     payload a second time).
     """
     return zlib.crc32(np.ascontiguousarray(a))
+
+
+def _as_payload(a: np.ndarray, shape, dtype) -> np.ndarray:
+    """The array as the link sees it — no copy when it already matches.
+
+    ``reshape().astype()`` forced a full staging copy whenever the input
+    was a non-contiguous view even with a matching dtype; the common case
+    (matching shape and dtype) must be free.
+    """
+    if a.shape == tuple(shape) and a.dtype == dtype:
+        return a
+    return np.ascontiguousarray(a).reshape(shape).astype(dtype, copy=False)
 
 
 def _energy(a: np.ndarray) -> float:
@@ -259,72 +278,69 @@ class ResilientExecutor:
     # ------------------------------------------------------------------
     # Transfers
     # ------------------------------------------------------------------
+    #
+    # ``stream=None`` issues the operation synchronously on the
+    # simulator's wall clock; an int issues it asynchronously on that
+    # numbered stream (the batch pipeline's slots), where it overlaps
+    # work on other streams.  Retries and checksums are identical either
+    # way.
 
-    def h2d(self, host: np.ndarray, dev: DeviceArray, label: str = "h2d") -> float:
+    def h2d(
+        self,
+        host: np.ndarray,
+        dev: DeviceArray,
+        label: str = "h2d",
+        stream: int | None = None,
+    ) -> float:
         """Checksummed host->device copy with bounded retries.
 
         Checksums exist to catch *injected* transfer corruption; with no
         fault injector attached to the simulator nothing can corrupt the
         payload, so the CRC passes (two full passes over the data per
         hop) are skipped.  The retry accounting is identical either way.
+        Returns the simulated seconds (synchronous) or the completion
+        time on ``stream``.
         """
-        fallible = self.sim.faults is not None
+        return self._transfer("h2d", host, dev, host, dev.data, label, stream)
+
+    def d2h(
+        self,
+        dev: DeviceArray,
+        host: np.ndarray,
+        label: str = "d2h",
+        stream: int | None = None,
+    ) -> float:
+        """Checksummed device->host copy; as :meth:`h2d` otherwise."""
+        return self._transfer("d2h", dev, host, dev.data, host, label, stream)
+
+    def _transfer(self, direction, src, dst, payload, landed, label, stream):
+        """Issue ``direction`` (sync or on ``stream``) until it lands intact."""
         expected = (
-            checksum(
-                np.asarray(host).reshape(dev.shape).astype(dev.dtype, copy=False)
-            )
-            if fallible
+            checksum(_as_payload(payload, landed.shape, landed.dtype))
+            if self.sim.faults is not None
             else None
         )
+        if stream is None:
+            op = partial(getattr(self.sim, direction), src, dst, label)
+        else:
+            issue = getattr(self.sim, f"async_{direction}")
+            op = partial(issue, src, dst, stream, label)
         last = self.policy.max_attempts - 1
         for attempt in range(self.policy.max_attempts):
             self.report.attempts += 1
             try:
-                t = self.sim.h2d(host, dev, label)
+                t = op()
             except TransferError:
                 if attempt == last:
                     raise
                 self.backoff(attempt, "transfer")
                 continue
-            if expected is None or checksum(dev.data) == expected:
+            if expected is None or checksum(landed) == expected:
                 return t
             self.report.checksum_failures += 1
             if attempt == last:
                 raise CorruptionError(
-                    f"h2d {label!r}: checksum mismatch persisted through "
-                    f"{self.policy.max_attempts} attempts"
-                )
-            self.backoff(attempt, "corruption")
-        raise AssertionError("unreachable")
-
-    def d2h(self, dev: DeviceArray, host: np.ndarray, label: str = "d2h") -> float:
-        """Checksummed device->host copy with bounded retries.
-
-        CRC passes are skipped when no fault injector is attached, as in
-        :meth:`h2d`.
-        """
-        fallible = self.sim.faults is not None
-        expected = (
-            checksum(dev.data.reshape(host.shape).astype(host.dtype, copy=False))
-            if fallible
-            else None
-        )
-        last = self.policy.max_attempts - 1
-        for attempt in range(self.policy.max_attempts):
-            self.report.attempts += 1
-            try:
-                t = self.sim.d2h(dev, host, label)
-            except TransferError:
-                if attempt == last:
-                    raise
-                self.backoff(attempt, "transfer")
-                continue
-            if expected is None or checksum(host) == expected:
-                return t
-            self.report.checksum_failures += 1
-            if attempt == last:
-                raise CorruptionError(
-                    f"d2h {label!r}: checksum mismatch persisted through "
+                    f"{direction} {label!r}: checksum mismatch persisted through "
                     f"{self.policy.max_attempts} attempts"
                 )
             self.backoff(attempt, "corruption")
@@ -334,33 +350,67 @@ class ResilientExecutor:
     # Launches
     # ------------------------------------------------------------------
 
-    def launch(self, spec: KernelSpec, body=None, *args, **kwargs) -> KernelTiming:
+    def launch(
+        self, spec: KernelSpec, body=None, *args, stream: int | None = None, **kwargs
+    ) -> KernelTiming:
         """Launch a spec'd kernel, retrying rejected launches."""
+        if stream is None:
+            op = partial(self.sim.launch, spec, body, *args, **kwargs)
+        else:
+            op = partial(self.sim.async_launch, spec, stream, body, *args, **kwargs)
+        return self._retry_launch(op)
+
+    def launch_timed(
+        self, label: str, seconds: float, body=None, *args, **kwargs
+    ) -> float:
+        """Launch with precomputed timing, retrying rejected launches."""
+        return self._retry_launch(
+            partial(self.sim.launch_timed, label, seconds, body, *args, **kwargs)
+        )
+
+    def _retry_launch(self, op: Callable[[], object]):
         last = self.policy.max_attempts - 1
         for attempt in range(self.policy.max_attempts):
             self.report.attempts += 1
             try:
-                return self.sim.launch(spec, body, *args, **kwargs)
+                return op()
             except KernelLaunchError:
                 if attempt == last:
                     raise
                 self.backoff(attempt, "launch")
         raise AssertionError("unreachable")
 
-    def launch_timed(
-        self, label: str, seconds: float, body=None, *args, **kwargs
-    ) -> float:
-        """Launch with precomputed timing, retrying rejected launches."""
-        last = self.policy.max_attempts - 1
-        for attempt in range(self.policy.max_attempts):
-            self.report.attempts += 1
-            try:
-                return self.sim.launch_timed(label, seconds, body, *args, **kwargs)
-            except KernelLaunchError:
-                if attempt == last:
-                    raise
-                self.backoff(attempt, "launch")
-        raise AssertionError("unreachable")
+
+def host_transform(
+    executor: ResilientExecutor,
+    x: np.ndarray,
+    inverse: bool,
+    reason: str,
+    label: str,
+) -> np.ndarray:
+    """Graceful degradation: the host reference transform of ``x``.
+
+    The one host fallback every device path shares.  The downgrade is
+    recorded on the executor's report, a lost device is reset (its
+    allocations die with it), and the transform is charged to the
+    simulated timeline as host time at the FFTW baseline's sustained
+    rate.  Returns the un-normalized transform.
+    """
+    from repro.baselines.fftw_cpu import FftwCpuBaseline
+
+    sim, report = executor.sim, executor.report
+    report.downgrades.append(f"host-fallback: {reason}")
+    if sim.device_lost:
+        sim.reset_device()
+        report.device_resets += 1
+    precision = "single" if x.dtype == np.complex64 else "double"
+    rate = FftwCpuBaseline(precision=precision).sustained_gflops(x.shape)
+    nz, ny, nx = x.shape
+    sim.charge(label, flops_3d_fft(nx, ny, nz) / (rate * 1e9), "host")
+    plan = PlanND(x.shape, precision=precision)
+    if inverse:
+        return np.conj(plan.execute(np.conj(x)))
+    return plan.execute(x)
 
 
 # ----------------------------------------------------------------------

@@ -100,7 +100,12 @@ def _find_compiler() -> list[str] | None:
 
 
 def _build(source: str, tag: str) -> ctypes.CDLL:
-    """Compile ``source`` (cached by content hash) and load it."""
+    """Compile ``source`` (cached by content hash) and load it.
+
+    A cached library that no longer loads (truncated or clobbered on
+    disk) is deleted and rebuilt once; otherwise one bad file would
+    disable the backend in every later process.
+    """
     compiler = _find_compiler()
     if compiler is None:
         raise RuntimeError("no C compiler on PATH")
@@ -108,27 +113,29 @@ def _build(source: str, tag: str) -> ctypes.CDLL:
     cdir = cache_dir()
     cdir.mkdir(parents=True, exist_ok=True)
     so_path = cdir / f"{tag}-{digest}.so"
-    if not so_path.exists():
-        c_path = cdir / f"{tag}-{digest}.c"
-        c_path.write_text(source)
-        tmp = cdir / f"{tag}-{digest}.{os.getpid()}.so.tmp"
-        flags = ["-O3", "-march=native", "-ffp-contract=off", "-fno-math-errno"]
-        base = ["-fPIC", "-shared", str(c_path), "-o", str(tmp), "-lm"]
+    if so_path.exists():
+        try:
+            return ctypes.CDLL(str(so_path))
+        except OSError:
+            so_path.unlink(missing_ok=True)
+    c_path = cdir / f"{tag}-{digest}.c"
+    c_path.write_text(source)
+    tmp = cdir / f"{tag}-{digest}.{os.getpid()}.so.tmp"
+    flags = ["-O3", "-march=native", "-ffp-contract=off", "-fno-math-errno"]
+    base = ["-fPIC", "-shared", str(c_path), "-o", str(tmp), "-lm"]
+    result = subprocess.run(compiler + flags + base, capture_output=True, text=True)
+    if result.returncode != 0:
+        # -march=native is a best-effort vectorization hint; some
+        # toolchains (older cross compilers) reject it.
         result = subprocess.run(
-            compiler + flags + base, capture_output=True, text=True
+            compiler + flags[:1] + flags[2:] + base,
+            capture_output=True,
+            text=True,
         )
-        if result.returncode != 0:
-            # -march=native is a best-effort vectorization hint; some
-            # toolchains (older cross compilers) reject it.
-            result = subprocess.run(
-                compiler + flags[:1] + flags[2:] + base,
-                capture_output=True,
-                text=True,
-            )
-        if result.returncode != 0:
-            tmp.unlink(missing_ok=True)
-            raise RuntimeError(f"cjit compile failed: {result.stderr[:2000]}")
-        os.replace(tmp, so_path)  # atomic: concurrent builders converge
+    if result.returncode != 0:
+        tmp.unlink(missing_ok=True)
+        raise RuntimeError(f"cjit compile failed: {result.stderr[:2000]}")
+    os.replace(tmp, so_path)  # atomic: concurrent builders converge
     return ctypes.CDLL(str(so_path))
 
 

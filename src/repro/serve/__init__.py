@@ -7,9 +7,9 @@ from many tenants, coalesces compatible requests into pipelined batches
 on a shape/precision/norm/direction key, applies admission control
 (bounded queue, per-tenant quotas, deadline feasibility), schedules with
 priority + earliest-deadline-first + tenant fair-share, and dispatches
-through the existing :class:`~repro.core.batch.BatchedGpuFFT3D` /
-:class:`~repro.core.api.GpuFFT3D` engines with their resilient retry
-machinery and shared :data:`~repro.core.plan_cache.PLAN_CACHE` plans.
+through the in-core :class:`~repro.core.batch.BatchedGpuFFT3D` engine
+(a lone request is a batch of one) with its resilient retry machinery
+and shared :data:`~repro.core.plan_cache.PLAN_CACHE` plans.
 
 The serving layer is chaos-hardened: every dispatch worker owns a
 circuit breaker and a four-state health machine (:mod:`repro.serve.health`)

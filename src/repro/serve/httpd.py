@@ -24,7 +24,7 @@ uses, implemented strictly (malformed framing answers 400 and closes).
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 __all__ = ["HttpResponse", "AsgiHttpServer", "HttpClient", "asgi_request"]
 
@@ -42,7 +42,9 @@ class HttpResponse:
 
     status: int
     headers: dict[str, str]
-    body: bytes
+    #: Kept out of the repr: asyncio reprs a task's result, and a
+    #: multi-megabyte body would make every such repr cost milliseconds.
+    body: bytes = field(repr=False)
 
     def header(self, name: str, default: str | None = None) -> str | None:
         """A header value by case-insensitive name."""

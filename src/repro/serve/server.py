@@ -9,7 +9,7 @@ objects; one dispatcher keeps the (simulated) device saturated::
                                  ▲ re-queue                 │
                                  │ (worker loss)            ▼
                              FFTFuture ◄──results── BatchedGpuFFT3D
-                                                    (GpuFFT3D for singletons)
+                                                    (one per worker x plan key)
 
 Key properties:
 
@@ -51,7 +51,6 @@ from dataclasses import dataclass, field
 from itertools import count
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from repro.core.api import GpuFFT3D
 from repro.core.batch import BatchedGpuFFT3D
 from repro.core.estimator import estimate_batch_pipelined
 from repro.core.resilient import ResilienceReport, RetryPolicy
@@ -279,7 +278,6 @@ class FFTServer:
         # Engines are scoped (worker id, plan key): each worker drives
         # its own card, so buffers are never shared across threads.
         self._engines: dict[tuple[int, PlanKey], BatchedGpuFFT3D] = {}
-        self._singles: dict[tuple[int, PlanKey], GpuFFT3D] = {}
         self._engine_use: dict[tuple[int, PlanKey], int] = {}
         self._engines_lock = threading.Lock()
         self._busy_wids: set[int] = set()
@@ -438,8 +436,6 @@ class FFTServer:
         report = ResilienceReport()
         for engine in self._engines.values():
             report.absorb(engine.resilience)
-        for plan in self._singles.values():
-            report.absorb(plan.resilience)
         return report.capture_timeline(self.simulator)
 
     # ------------------------------------------------------------------
@@ -567,8 +563,6 @@ class FFTServer:
         self._discard_pending()
         for engine in self._engines.values():
             engine.close()
-        for plan in self._singles.values():
-            plan.close()
 
     def _discard_pending(self) -> None:
         for key in self.queue.keys():
@@ -610,31 +604,16 @@ class FFTServer:
     # Dispatch
     # ------------------------------------------------------------------
 
-    def _engine_for(self, wid: int, key: PlanKey, batch_size: int):
-        """The execution engine for one batch (shared plans via the cache)."""
+    def _engine_for(self, wid: int, key: PlanKey) -> BatchedGpuFFT3D:
+        """The execution engine for one batch (shared plans via the cache).
+
+        One engine per (worker, plan key) serves every batch size; a
+        singleton batch sizes the engine to one V/WORK slot pair.
+        """
         suffix = f"-w{wid}" if self.n_workers > 1 else ""
-        raise_loss = self._health is not None
         with self._engines_lock:
             ekey = (wid, key)
             self._engine_use[ekey] = next(self._use_counter)
-            if batch_size == 1:
-                plan = self._singles.get(ekey)
-                if plan is None:
-                    plan = self._singles[ekey] = GpuFFT3D(
-                        key.shape,
-                        device=self.device,
-                        simulator=self._sims[wid],
-                        precision=key.precision,
-                        norm=key.norm,
-                        fault_injector=self._injectors[wid],
-                        retry_policy=self._retry_policy,
-                        profiler=self.profiler,
-                        pooling=self.pooling,
-                        raise_on_device_loss=raise_loss,
-                        name=f"{self._name}-{key.slug}-solo{suffix}",
-                        backend=self.backend,
-                    )
-                return plan
             engine = self._engines.get(ekey)
             if engine is None:
                 engine = self._engines[ekey] = BatchedGpuFFT3D(
@@ -648,7 +627,7 @@ class FFTServer:
                     n_streams=self.n_streams,
                     profiler=self.profiler,
                     pooling=self.pooling,
-                    raise_on_device_loss=raise_loss,
+                    raise_on_device_loss=self._health is not None,
                     name=f"{self._name}-{key.slug}{suffix}",
                     backend=self.backend,
                 )
@@ -670,9 +649,6 @@ class FFTServer:
                 engine = self._engines.get(ekey)
                 if engine is not None:
                     engine.close()
-                plan = self._singles.get(ekey)
-                if plan is not None:
-                    plan.release()
 
     def _claim_worker_serial(self) -> tuple[int, str]:
         """Deterministic round-robin claim for pool-less dispatch.
@@ -853,25 +829,15 @@ class FFTServer:
         if self.n_workers > 1:
             tags["worker"] = wid
         try:
-            engine = self._engine_for(wid, key, len(batch))
-            single = isinstance(engine, GpuFFT3D)
+            engine = self._engine_for(wid, key)
             sig_before = engine.resilience.signature()
             with self._compute_permits, sim.annotate(**tags):
-                if single:
-                    outs = [
-                        engine.execute(
-                            batch[0].request.x,
-                            inverse=key.inverse,
-                            force_host=force_host,
-                        )
-                    ]
-                else:
-                    stacked = engine.execute(
-                        [t.request.x for t in batch],
-                        inverse=key.inverse,
-                        force_host=force_host,
-                    )
-                    outs = [stacked[i] for i in range(len(batch))]
+                stacked = engine.execute(
+                    [t.request.x for t in batch],
+                    inverse=key.inverse,
+                    force_host=force_host,
+                )
+            outs = [stacked[i] for i in range(len(batch))]
             absorbed = engine.resilience.signature() != sig_before
         except FaultError as exc:
             # The worker's card failed under the batch (device loss with

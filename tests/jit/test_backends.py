@@ -7,6 +7,11 @@ mid-flight degrades the plan without surfacing an error.  The JIT is a
 pure optimization; these tests pin the "pure" half.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -45,6 +50,27 @@ class TestResolution:
         # on numpy for the out-of-core-adjacent geometry.
         assert resolve_plan_backend((512, 512, 512), "auto") == "numpy"
         assert resolve_plan_backend((32, 32, 32), "numpy") == "numpy"
+
+
+class TestCacheRecovery:
+    def test_corrupt_cached_library_is_rebuilt(self, tmp_path, monkeypatch):
+        """A clobbered cache entry must not disable cjit for good."""
+        if cc._find_compiler() is None:
+            pytest.skip("no C compiler on PATH")
+        monkeypatch.setenv("REPRO_JIT_CACHE", str(tmp_path))
+        # Warm the cache in another process: this one must never have
+        # mapped the file it is about to find corrupt.
+        src = str(Path(jit.__file__).resolve().parents[2])
+        monkeypatch.setenv("PYTHONPATH", src)
+        warm = "from repro.jit import cc; assert cc.available()"
+        subprocess.run([sys.executable, "-c", warm], check=True, env=os.environ)
+        (probe,) = tmp_path.glob("probe-*.so")
+        probe.write_bytes(b"not a shared library")
+        monkeypatch.setattr(nb, "available", lambda: False)
+        for name, value in (("_probe_lib", False), ("_modes", None), ("_library", None)):
+            monkeypatch.setattr(cc, name, value)
+        assert jit.resolve_backend("auto") == "cjit"
+        assert probe.read_bytes() != b"not a shared library"
 
 
 class TestCleanFallback:

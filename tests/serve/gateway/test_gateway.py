@@ -26,6 +26,7 @@ from repro.serve import (
     TenantAuth,
     decode_array,
 )
+from repro.serve.httpd import HttpResponse
 from repro.serve.wire import DTYPES
 from tests.serve.gateway.conftest import SHAPE, TENANT, grid, http, submit_bytes
 
@@ -231,6 +232,13 @@ class TestHttpFraming:
 
     def _run(self, coro):
         return asyncio.run(coro)
+
+    def test_response_repr_does_not_grow_with_body(self):
+        # asyncio reprs a finished task's result; a body in the repr would
+        # make every large response pay for formatting megabytes of bytes.
+        small = HttpResponse(200, {"content-type": "x"}, b"\x00")
+        large = HttpResponse(200, {"content-type": "x"}, b"\x00" * (1 << 20))
+        assert len(repr(large)) == len(repr(small))
 
     def test_keep_alive_serves_sequential_requests_on_one_socket(
         self, live_gateway

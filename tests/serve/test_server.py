@@ -81,14 +81,19 @@ class TestDispatchCorrectness:
         assert small.batch_size == 2
         assert big.batch_size == 1
 
-    def test_singleton_dispatch_uses_single_plan(self, rng, sync_server):
+    def test_singleton_dispatch_reuses_one_engine_per_key(self, rng, sync_server):
         fut = sync_server.submit(FFTRequest(_cubes(rng, 16, 1)[0]))
         sync_server.run_pending()
         assert fut.batch_size == 1
         key = fut.request.plan_key()
-        assert (0, key) in sync_server._singles
-        assert (0, key) not in sync_server._engines
-
+        assert list(sync_server._engines) == [(0, key)]
+        engine = sync_server._engines[(0, key)]
+        assert engine.n_slots == 1  # a batch of one holds one V/WORK pair
+        xs = _cubes(rng, 16, 3)
+        futs = [sync_server.submit(FFTRequest(x)) for x in xs]
+        sync_server.run_pending()
+        assert {f.batch_size for f in futs} == {3}
+        assert sync_server._engines == {(0, key): engine}
 
 class TestAdmission:
     def test_queue_full_sheds_with_typed_error(self, rng):
