@@ -252,10 +252,13 @@ class FiveStepPlan:
         numpy backend or when already compiled) so the execution engines
         can charge warm-up as an observable ``jit.compile`` span.  A
         compile failure degrades the plan to the numpy backend instead
-        of raising — clean fallback is the backend contract.
+        of raising — clean fallback is the backend contract — and is
+        counted by :meth:`~repro.core.plan_cache.PlanCache.record_fallback`
+        so the degradation is never silent.
         """
         if self.backend == "numpy" or self._compiled is not None:
             return 0.0
+        failure = None
         with self._compile_lock:
             if self._compiled is not None or self.backend == "numpy":
                 return 0.0
@@ -272,12 +275,16 @@ class FiveStepPlan:
                     self.ry2,
                     twiddles=self._cache,
                 )
-            except Exception:
+            except Exception as exc:
+                failure = (self.backend, f"{type(exc).__name__}: {exc}")
                 self.backend = "numpy"
-                return 0.0
-            self._compiled = compiled
+            else:
+                self._compiled = compiled
         from repro.core.plan_cache import PLAN_CACHE
 
+        if failure is not None:
+            PLAN_CACHE.record_fallback(*failure)
+            return 0.0
         PLAN_CACHE.record_compile(self.backend, wall)
         return wall
 

@@ -51,10 +51,12 @@ class PlanCacheStats:
     """Hit/miss/eviction counters snapshot (misses == plans built).
 
     ``compiles`` counts backend kernel compilations
-    (:meth:`PlanCache.record_compile`); ``by_backend`` labels the
-    hit/miss traffic per resolved backend as sorted
-    ``(backend, hits, misses)`` triples, so a mixed numpy/jit workload's
-    cache behaviour stays attributable.
+    (:meth:`PlanCache.record_compile`) and ``fallbacks`` the failed ones
+    that degraded a plan to numpy (:meth:`PlanCache.record_fallback`),
+    ``last_fallback`` holding the latest ``(backend, reason)``;
+    ``by_backend`` labels the hit/miss traffic per resolved backend as
+    sorted ``(backend, hits, misses)`` triples, so a mixed numpy/jit
+    workload's cache behaviour stays attributable.
     """
 
     hits: int
@@ -62,6 +64,8 @@ class PlanCacheStats:
     evictions: int = 0
     compiles: int = 0
     by_backend: tuple = field(default=(), compare=False)
+    fallbacks: int = 0
+    last_fallback: tuple = field(default=(), compare=False)
 
     @property
     def requests(self) -> int:
@@ -103,6 +107,8 @@ class PlanCache:
         self._misses = 0
         self._evictions = 0
         self._compiles = 0
+        self._fallbacks = 0
+        self._last_fallback: tuple = ()
         self._by_backend: dict[str, list[int]] = {}
         self._observers: list[Callable[[str], None]] = []
         self._observer_kwargs: set[int] = set()
@@ -240,6 +246,21 @@ class PlanCache:
             self._compiles += 1
         self._notify("compiles", backend=backend, seconds=seconds)
 
+    def record_fallback(self, requested: str, reason: str) -> None:
+        """Count one failed backend compile and notify observers.
+
+        Called by :meth:`FiveStepPlan.ensure_compiled` when compiling the
+        ``requested`` backend raised and the plan degraded to numpy, so a
+        profiler surfaces ``plan_cache.fallbacks`` (labelled with the
+        requested ``backend=``) and :attr:`stats` keeps the count and the
+        latest ``(requested, reason)``.  The degraded plan stays cached
+        under its key: later requests reuse it without recompiling.
+        """
+        with self._lock:
+            self._fallbacks += 1
+            self._last_fallback = (requested, reason)
+        self._notify("fallbacks", backend=requested)
+
     def _evict_over_bound(self) -> list[str]:
         """Drop LRU entries past ``max_entries``; caller holds the lock.
 
@@ -290,6 +311,8 @@ class PlanCache:
                 self._evictions,
                 self._compiles,
                 by_backend,
+                self._fallbacks,
+                self._last_fallback,
             )
 
     @property
@@ -321,6 +344,8 @@ class PlanCache:
             self._misses = 0
             self._evictions = 0
             self._compiles = 0
+            self._fallbacks = 0
+            self._last_fallback = ()
             self._by_backend.clear()
 
 

@@ -23,7 +23,7 @@ table): ``sim.kernel.seconds``, ``sim.h2d.seconds``, ``sim.d2h.seconds``,
 ``sim.faulted.seconds``, ``sim.faulted.events``, ``sim.events``,
 ``sim.kernel.gbps``, ``sim.h2d.gbps``, ``sim.d2h.gbps``,
 ``plan_cache.hits``, ``plan_cache.misses``, ``plan_cache.evictions``,
-``multigpu.replans``.
+``plan_cache.compiles``, ``plan_cache.fallbacks``, ``multigpu.replans``.
 
 The serving layer (:mod:`repro.serve`) records its own family under the
 ``serve.`` prefix (DESIGN.md §13): ``serve.submitted``,

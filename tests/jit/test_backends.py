@@ -110,6 +110,50 @@ class TestCleanFallback:
         out = plan.execute(x)
         assert out.shape == x.shape
 
+    def test_failed_compile_is_counted_not_silent(self, monkeypatch):
+        """A compile that raises degrades the plan to numpy *and* moves
+        the fallback counter and the profiler metric by exactly one."""
+        from repro.core.plan_cache import PLAN_CACHE
+        from repro.obs.profiler import Profiler
+
+        def boom(*a, **k):
+            raise RuntimeError("cc exited 1")
+
+        # Resolve to cjit whether or not this machine has a compiler; the
+        # compile itself always fails.
+        monkeypatch.setattr(jit, "resolve_backend", lambda backend="auto": "cjit")
+        monkeypatch.setattr(jit, "compile_plan", boom)
+        rng = np.random.default_rng(5)
+        x = (
+            rng.standard_normal((16, 16, 16))
+            + 1j * rng.standard_normal((16, 16, 16))
+        ).astype(np.complex64)
+        PLAN_CACHE.clear()
+        try:
+            before = PLAN_CACHE.stats.fallbacks
+            with Profiler() as prof:
+                with GpuFFT3D((16, 16, 16), backend="cjit", name="fb-cc") as plan:
+                    out = plan.forward(x)
+                    again = plan.forward(x)  # the degraded plan is reused
+                    assert plan._plan.backend == "numpy"
+                counters = prof.snapshot()["counters"]
+            stats = PLAN_CACHE.stats
+        finally:
+            PLAN_CACHE.clear()
+        assert stats.fallbacks - before == 1
+        assert stats.last_fallback == ("cjit", "RuntimeError: cc exited 1")
+        assert stats.compiles == 0
+        assert counters["plan_cache.fallbacks"]["value"] == 1
+        labeled = {
+            k: v["value"]
+            for k, v in counters.items()
+            if k.startswith("plan_cache.fallbacks{") and "backend=cjit" in k
+        }
+        assert list(labeled.values()) == [1], sorted(counters)
+        ref = np.fft.fftn(x)
+        assert np.abs(out - ref).max() <= 1e-5 * np.abs(ref).max()
+        assert np.array_equal(again, out)
+
     def test_requested_vs_resolved_recorded(self):
         plan = FiveStepPlan((512, 512, 512), precision="single", backend="auto")
         assert plan.backend_requested == "auto"
