@@ -49,7 +49,7 @@ import os
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import count
 from typing import TYPE_CHECKING, AsyncIterator, Awaitable, Callable, Mapping
 
@@ -112,7 +112,8 @@ class GatewayPolicy:
         The back-off hint stamped on every shed/pressure response.
     ``max_jobs``
         Completed-job retention: the oldest *resolved* jobs are evicted
-        past this bound, after which their ids answer 404.
+        past this bound, after which their ids answer 404.  A resolved
+        job keeps its result and telemetry, not its input grid.
     ``wait_timeout_s``
         Ceiling on ``POST /v1/fft/wait``; a job still unresolved then
         answers 504 ``deadline_expired`` (and keeps running — its id
@@ -270,6 +271,14 @@ class _Job:
     tenant: str
     plan: str
     future: FFTFuture
+
+    def settle(self, future: FFTFuture) -> None:
+        """Done-callback: keep the outcome, let the input grid go.
+
+        The copy shares the resolved event, result, failure and
+        telemetry; only ``request`` (with its decoded grid) is dropped.
+        """
+        self.future = replace(future, request=None)
 
 
 class Gateway:
@@ -473,6 +482,7 @@ class Gateway:
             plan=fft_req.plan_key().slug,
             future=future,
         )
+        future.add_done_callback(job.settle)
         with self._jobs_lock:
             self._jobs[job_id] = job
             while len(self._jobs) > self.policy.max_jobs:

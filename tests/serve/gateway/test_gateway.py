@@ -8,7 +8,9 @@ stdlib host in :mod:`repro.serve.httpd`.
 """
 
 import asyncio
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -182,6 +184,35 @@ class TestRetention:
         # All three still queued: over budget, but nothing resolvable.
         for job_id in ids:
             assert http(gw, "GET", f"/v1/jobs/{job_id}").status == 200
+
+    def test_resolved_jobs_release_their_input_grid(self, sync_server):
+        # A pollable job needs its result, not the decoded request grid;
+        # holding both doubled what max_jobs resolved jobs cost.
+        gw = Gateway(sync_server)
+        inputs = []
+        submit = sync_server.submit
+
+        def capture(request):
+            inputs.append(weakref.ref(request.x))
+            return submit(request)
+
+        sync_server.submit = capture
+        raw, x = submit_bytes(seed=3)
+        job_id = AcceptedBody.parse(
+            http(gw, "POST", "/v1/fft", TENANT, raw).body
+        ).job_id
+        gc.collect()
+        assert inputs[0]() is not None  # still queued: the grid is needed
+        sync_server.run_pending()
+        gc.collect()
+        assert inputs[0]() is None
+
+        done = StatusBody.parse(http(gw, "GET", f"/v1/jobs/{job_id}").body)
+        assert (done.state, done.batch_size) == ("done", 1)
+        resp = http(gw, "GET", f"/v1/jobs/{job_id}/result")
+        out = decode_array(resp.body, SHAPE, DTYPES["single"])
+        with GpuFFT3D(SHAPE) as plan:
+            assert np.array_equal(out, plan.forward(x))
 
 
 class TestObservability:
