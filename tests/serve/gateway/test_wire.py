@@ -8,6 +8,8 @@ trace, never a silently coerced value.
 """
 
 import base64
+import binascii
+import itertools
 import json
 
 import numpy as np
@@ -26,7 +28,7 @@ from repro.serve import (
     decode_array,
     encode_array,
 )
-from repro.serve.wire import DTYPES, JOB_STATES
+from repro.serve.wire import DTYPES, JOB_STATES, _b64decode
 from tests.serve.gateway.conftest import grid
 
 #: Tenant ids stressing the unicode surface of the JSON codec.
@@ -188,6 +190,25 @@ class TestSubmitRejection:
             )
             with pytest.raises(WireError, match="deadline_s"):
                 SubmitBody.parse(raw.encode())
+
+    def test_base64_decode_accepts_exactly_what_b64decode_validates(self):
+        # _b64decode skips b64decode's ASCII copy; acceptance must not move.
+        def outcome(decode, text):
+            try:
+                return decode(text)
+            except (UnicodeEncodeError, binascii.Error, ValueError):
+                return "refused"
+
+        def stdlib(text):
+            return base64.b64decode(text.encode("ascii"), validate=True)
+
+        texts = ["データ", "QUJD\u00e9"] + [
+            "".join(t)
+            for n in range(6)
+            for t in itertools.product("AQw+/= \n", repeat=n)
+        ]
+        for text in texts:
+            assert outcome(_b64decode, text) == outcome(stdlib, text), text
 
     def test_payload_length_mismatch(self):
         raw = json.dumps(
